@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt lint lint-baseline build test race race-parallel bench bench-fastpath bench-abuse bench-fleet fastpath-smoke smoke chaos gateway-chaos lifecycle-chaos abuse-chaos fleet-chaos fuzz
+.PHONY: check vet fmt lint lint-baseline build test race race-parallel bench fastpath-smoke smoke chaos gateway-chaos lifecycle-chaos abuse-chaos fuzz
 
-check: vet fmt build lint test smoke fastpath-smoke chaos gateway-chaos lifecycle-chaos abuse-chaos fleet-chaos fuzz
+check: vet fmt build lint test smoke fastpath-smoke chaos gateway-chaos lifecycle-chaos abuse-chaos fuzz
 
 vet:
 	$(GO) vet ./...
@@ -51,22 +51,15 @@ race: race-parallel
 # excluded from this pass by construction.
 race-parallel:
 	$(GO) test -race -timeout 20m -run 'Parallel|Prefilter|Session' ./internal/...
-	$(GO) test -race -timeout 20m -count=1 ./internal/gateway/ ./internal/resilience/ ./internal/admission/ ./internal/fleet/
+	$(GO) test -race -timeout 20m -count=1 ./internal/gateway/ ./internal/resilience/ ./internal/admission/
 	$(GO) test -race -timeout 20m -count=1 -run 'Chaos|Reload|Lifecycle|Canary' ./internal/gateway/ ./internal/lifecycle/
 
 # Sparse-vs-dense, serial-vs-parallel train, and pipeline micro benchmarks
-# (EXPERIMENTS.md numbers), plus the machine-readable lifecycle benchmark
-# (bootstrap/round latencies and gateway replay throughput).
+# (EXPERIMENTS.md numbers). The serving path and the retrain pipeline are
+# measured end to end by the repository benchmark, `bash perfbench/run.sh`
+# (see perfbench/README.md).
 bench:
 	$(GO) test -run '^$$' -bench 'Featurize|PairwiseDistances|TrainParallel|DenseMatch|SparseMatch|GatewayThroughput' -benchmem .
-	$(GO) run ./cmd/evalharness -experiment lifecycle -out BENCH_lifecycle.json
-
-# The serving fast-path benchmark: Inspect and gateway throughput with the
-# literal prefilter on vs. off, allocations per benign Inspect, and the
-# prefilter census, written to the committed BENCH_fastpath.json (see
-# EXPERIMENTS.md "Serving fast path").
-bench-fastpath:
-	$(GO) run ./cmd/evalharness -experiment fastpath -out BENCH_fastpath.json
 
 # Fast-path smoke: the bit-identity gates (train/serve/session parity,
 # countMatches-vs-FindAll cross-check, corpus soundness) and the
@@ -109,30 +102,6 @@ lifecycle-chaos:
 # sleeps and runs in seconds.
 abuse-chaos:
 	$(GO) test -count=1 -run 'AbuseChaos|Controller|XFF|CallerTable|Denylist|AdmissionPanic' ./internal/admission/ ./internal/gateway/
-
-# Fleet chaos gate: the deterministic multi-replica storm — kill,
-# eject, readmit and coordinated-reload a three-replica fleet mid-storm
-# with seeded fault injection, and assert the verdict stream is
-# bit-identical to a single instance serving the same sequence (plus a
-# bit-identical transcript across same-seed runs). Sleeps are injected
-# no-ops and every decision is a function of the seed, so the suite runs
-# in seconds with zero wall-clock waits.
-fleet-chaos:
-	$(GO) test -count=1 -run 'FleetChaos|Ring|Failover|Ejection|ReloadTwoPhase|ReloadProbe|ReloadCommit|RollbackFailure' ./internal/fleet/
-
-# The abuse-control benchmark: keyed admission checks under zipfian
-# churn, million-entry denylist lookups, gateway overhead with admission
-# on vs. off, and the deterministic storm outcome tally, written to the
-# committed BENCH_abuse.json (see EXPERIMENTS.md "Abuse control").
-bench-abuse:
-	$(GO) run ./cmd/evalharness -experiment abuse -out BENCH_abuse.json
-
-# The fleet benchmark: front routing overhead vs. a bare gateway, the
-# failover path with a replica down, coordinated-reload fanout time and
-# ring load spread, written to the committed BENCH_fleet.json (see
-# EXPERIMENTS.md "Fleet serving").
-bench-fleet:
-	$(GO) run ./cmd/evalharness -experiment fleet -out BENCH_fleet.json
 
 # Fuzz smoke: a few seconds per httpx parsing target (plus their checked-in
 # crash corpora under testdata/fuzz). `go test -fuzz` accepts one target

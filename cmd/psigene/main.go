@@ -2,18 +2,20 @@
 //
 // Subcommands:
 //
-//	psigene train   -attacks 3000 -benign 10000 -out model.json
-//	    Generate (or crawl) a training corpus and produce a signature set.
+//	psigene train   -attacks 3000 -benign 10000 -out model
+//	    Generate (or crawl) a training corpus and write the signature set
+//	    as a versioned artifact directory (manifest.json + model.json).
 //	psigene crawl   -portals http://host1,http://host2 -out samples.txt
 //	    Crawl cybersecurity portals and write the extracted sample URLs.
-//	psigene inspect -model model.json -url "/page.php?id=1'+or+1=1--"
+//	psigene inspect -model model -url "/page.php?id=1'+or+1=1--"
 //	    Classify one request with a trained signature set.
-//	psigene eval    -model model.json
+//	psigene eval    -model model
 //	    Evaluate a trained model against generated test sets.
-//	psigene export  -model model.json -out psigene.bro
+//	psigene export  -model model -out psigene.bro
 //	    Render the signatures as a Bro 2.x policy script (§III-C).
-//	psigene tune    -model model.json -target-fpr 0.0005 -out tuned.json
-//	    Pick per-signature thresholds from a validation set (Figure 3).
+//	psigene tune    -model model -target-fpr 0.0005 -out tuned
+//	    Pick per-signature thresholds from a validation set (Figure 3) and
+//	    write a new artifact whose manifest names -model as its parent.
 //	psigene lifecycle -store lifecycle -rounds 3
 //	    Run the continuous crawl→retrain→validate→canary lifecycle over a
 //	    versioned artifact store (see internal/lifecycle).
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"psigene/internal/attackgen"
@@ -96,12 +99,16 @@ func runTrain(args []string, w io.Writer) error {
 		samples  = fs.String("samples", "", "file of crawled attack sample URLs (one per line) instead of generated attacks")
 		portals  = fs.String("portals", "", "comma-separated portal base URLs to crawl for attacks instead of generating")
 		seed     = fs.Int64("seed", 1, "RNG seed for generated corpora")
-		out      = fs.String("out", "model.json", "output model path")
+		out      = fs.String("out", "model", "output artifact directory (must not exist); its base name is the version")
 		par      = fs.Int("parallelism", 0, "training worker count (0 = all cores, 1 = serial); the model is bit-identical either way")
 		minSamp  = fs.Int("min-samples", 1, "refuse to train on fewer crawled/loaded attack samples (coverage floor for degraded crawls)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// Artifacts are immutable: refuse before spending the training time.
+	if _, err := os.Stat(*out); err == nil {
+		return fmt.Errorf("train: %s already exists; artifacts are never overwritten", *out)
 	}
 
 	var attacks []httpx.Request
@@ -144,10 +151,11 @@ func runTrain(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "  signature %d: %.0f samples, %d->%d features\n",
 			s.ID, s.SampleWeight, s.BiclusterFeatures, len(s.Features))
 	}
-	if err := model.SaveFile(*out); err != nil {
+	man, err := model.SaveArtifact(*out, core.Manifest{Version: filepath.Base(*out)})
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "model written to %s\n", *out)
+	fmt.Fprintf(w, "model %s written to %s\n", man.Version, *out)
 	return nil
 }
 
@@ -266,7 +274,7 @@ func healthSuffix(h crawl.Health) string {
 func runInspect(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
 	var (
-		modelPath = fs.String("model", "model.json", "trained model path")
+		modelPath = fs.String("model", "model", "trained model artifact directory")
 		url       = fs.String("url", "", "request URL to classify (required)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -275,7 +283,7 @@ func runInspect(args []string, w io.Writer) error {
 	if *url == "" {
 		return fmt.Errorf("inspect: -url is required")
 	}
-	model, err := core.LoadFile(*modelPath)
+	model, _, err := core.LoadArtifact(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -299,7 +307,7 @@ func runInspect(args []string, w io.Writer) error {
 func runEval(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	var (
-		modelPath = fs.String("model", "model.json", "trained model path")
+		modelPath = fs.String("model", "model", "trained model artifact directory")
 		nAttacks  = fs.Int("attacks", 1000, "test attacks per tool")
 		nBenign   = fs.Int("benign", 10000, "benign test requests")
 		seed      = fs.Int64("seed", 100, "test-set seed")
@@ -307,7 +315,7 @@ func runEval(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	model, err := core.LoadFile(*modelPath)
+	model, _, err := core.LoadArtifact(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -332,13 +340,13 @@ func runEval(args []string, w io.Writer) error {
 func runExport(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("export", flag.ContinueOnError)
 	var (
-		modelPath = fs.String("model", "model.json", "trained model path")
+		modelPath = fs.String("model", "model", "trained model artifact directory")
 		out       = fs.String("out", "psigene.bro", "output Bro policy script")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	model, err := core.LoadFile(*modelPath)
+	model, _, err := core.LoadArtifact(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -353,8 +361,8 @@ func runExport(args []string, w io.Writer) error {
 func runTune(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("tune", flag.ContinueOnError)
 	var (
-		modelPath = fs.String("model", "model.json", "trained model path")
-		out       = fs.String("out", "tuned.json", "output model path")
+		modelPath = fs.String("model", "model", "trained model artifact directory")
+		out       = fs.String("out", "tuned", "output artifact directory (must not exist); its base name is the version")
 		targetFPR = fs.Float64("target-fpr", 0.0005, "per-signature false-positive budget")
 		nAttacks  = fs.Int("attacks", 500, "validation attacks to generate")
 		nBenign   = fs.Int("benign", 5000, "validation benign requests to generate")
@@ -363,7 +371,7 @@ func runTune(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	model, err := core.LoadFile(*modelPath)
+	model, parent, err := core.LoadArtifact(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -377,9 +385,10 @@ func runTune(args []string, w io.Writer) error {
 	for i, s := range model.Signatures {
 		fmt.Fprintf(w, "signature %d: threshold %.6f\n", s.ID, thresholds[i])
 	}
-	if err := model.SaveFile(*out); err != nil {
+	man, err := model.SaveArtifact(*out, core.Manifest{Version: filepath.Base(*out), Parent: parent.Version})
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "tuned model written to %s\n", *out)
+	fmt.Fprintf(w, "tuned model %s (parent %s) written to %s\n", man.Version, man.Parent, *out)
 	return nil
 }

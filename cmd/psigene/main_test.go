@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"psigene/internal/attackgen"
+	"psigene/internal/core"
 	"psigene/internal/portal"
 )
 
@@ -29,7 +30,7 @@ func TestRunUsageErrors(t *testing.T) {
 
 func TestTrainInspectEvalCycle(t *testing.T) {
 	dir := t.TempDir()
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model")
 	var out strings.Builder
 	err := run([]string{"train", "-attacks", "500", "-benign", "1200", "-out", model}, &out)
 	if err != nil {
@@ -102,7 +103,7 @@ func TestCrawlThenTrainFromSamples(t *testing.T) {
 	// Training from a sample file exercises readSampleFile. A crawl this
 	// small may not cover 5%-sized clusters, so just require it to run or
 	// fail gracefully.
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model")
 	out.Reset()
 	err = run([]string{"train", "-samples", samples, "-benign", "1200", "-out", model}, &out)
 	if err != nil {
@@ -145,7 +146,7 @@ http://y.com/b.php?q=union+select
 
 func TestExportSubcommand(t *testing.T) {
 	dir := t.TempDir()
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model")
 	bro := filepath.Join(dir, "psigene.bro")
 	var out strings.Builder
 	if err := run([]string{"train", "-attacks", "400", "-benign", "1000", "-out", model}, &out); err != nil {
@@ -164,10 +165,13 @@ func TestExportSubcommand(t *testing.T) {
 	}
 }
 
+// TestTuneSubcommand: train then tune writes a second artifact whose
+// manifest names the trained version as its parent, and training again
+// into an existing -out is refused, leaving the artifact untouched.
 func TestTuneSubcommand(t *testing.T) {
 	dir := t.TempDir()
-	model := filepath.Join(dir, "model.json")
-	tuned := filepath.Join(dir, "tuned.json")
+	model := filepath.Join(dir, "v1")
+	tuned := filepath.Join(dir, "v1-tuned")
 	var out strings.Builder
 	if err := run([]string{"train", "-attacks", "400", "-benign", "1000", "-out", model}, &out); err != nil {
 		t.Fatalf("train: %v", err)
@@ -180,7 +184,23 @@ func TestTuneSubcommand(t *testing.T) {
 	if !strings.Contains(out.String(), "threshold") {
 		t.Fatalf("tune output:\n%s", out.String())
 	}
-	if _, err := os.Stat(tuned); err != nil {
-		t.Fatalf("tuned model not written: %v", err)
+	_, man, err := core.LoadArtifact(tuned)
+	if err != nil {
+		t.Fatalf("tuned artifact: %v", err)
+	}
+	if man.Version != "v1-tuned" || man.Parent != "v1" {
+		t.Fatalf("tuned manifest version %q parent %q, want v1-tuned from v1", man.Version, man.Parent)
+	}
+
+	before, err := core.ReadManifest(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"train", "-attacks", "300", "-benign", "800", "-seed", "2", "-out", model}, &out)
+	if err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("second train into %s: want refusal, got %v", model, err)
+	}
+	if after, err := core.ReadManifest(model); err != nil || after != before {
+		t.Fatalf("artifact changed by refused train: %+v -> %+v (%v)", before, after, err)
 	}
 }

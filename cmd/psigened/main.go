@@ -2,7 +2,7 @@
 // scores every request against a trained signature set before forwarding
 // it to the protected upstream.
 //
-//	psigened -model model.json -upstream http://127.0.0.1:8080 -listen :9090
+//	psigened -model models/v1 -upstream http://127.0.0.1:8080 -listen :9090
 //
 // The admin control surface is served on its own listener (-admin-listen,
 // loopback-only by default; "" disables it) so public proxied traffic can
@@ -14,17 +14,17 @@
 //	GET  /-/statz              counters, breaker state, scoring latency,
 //	                           serving artifact version + content hash
 //	GET  /-/metrics            the same, in Prometheus text format
-//	POST /-/reload?path=m.json validate-then-swap a model named inside
-//	                           -model-dir (default: the -model directory);
-//	                           a corrupt model leaves the old one serving
+//	POST /-/reload?path=v2     validate-then-swap an artifact named inside
+//	                           -model-dir (default: the directory holding
+//	                           -model); a corrupt one leaves the old serving
 //	POST /-/canary/start?path= score a candidate side-by-side on sampled
 //	                           traffic without affecting verdicts
 //	GET  /-/canary             verdict-delta report for the active canary
 //	POST /-/canary/promote     swap the candidate in; /-/canary/abort drops it
 //
-// -model accepts either a legacy single-file model or a versioned
-// artifact directory (manifest.json + model.json); artifact identity is
-// echoed on X-Psigene-Gen and /-/statz.
+// -model names a versioned artifact directory (manifest.json +
+// model.json, as psigene train writes it); its identity is echoed on
+// X-Psigene-Gen and /-/statz.
 //
 // On SIGINT/SIGTERM the daemon stops admitting requests, drains in-flight
 // ones (bounded by -drain-timeout), and exits.
@@ -50,7 +50,6 @@ import (
 
 	"psigene/internal/admission"
 	"psigene/internal/core"
-	"psigene/internal/fleet"
 	"psigene/internal/gateway"
 )
 
@@ -114,7 +113,7 @@ type testHooks struct {
 func run(args []string, w io.Writer, hooks *testHooks) error {
 	fs := flag.NewFlagSet("psigened", flag.ContinueOnError)
 	var (
-		model        = fs.String("model", "", "trained model file or artifact directory (psigene train output); required")
+		model        = fs.String("model", "", "trained model artifact directory (psigene train output); required")
 		upstream     = fs.String("upstream", "", "base URL of the protected upstream; required")
 		listen       = fs.String("listen", ":9090", "address to serve on")
 		adminListen  = fs.String("admin-listen", "127.0.0.1:9091", "address for the /-/ admin surface (loopback by default; empty disables it)")
@@ -126,11 +125,6 @@ func run(args []string, w io.Writer, hooks *testHooks) error {
 		scoreBudget  = fs.Duration("score-budget", 10*time.Millisecond, "deadline slice reserved for scoring")
 		upTimeout    = fs.Duration("upstream-timeout", 5*time.Second, "deadline slice for the upstream leg")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
-
-		// Fleet mode (see internal/fleet): N in-process gateway replicas
-		// behind a consistent-hash front with per-replica health,
-		// failover, and coordinated two-phase model reloads.
-		fleetN = fs.Int("fleet", 1, "number of in-process gateway replicas; >1 serves through the fleet front (caller-affine routing, ejection/failover, coordinated reloads)")
 
 		// Per-client abuse control (see internal/admission). Admission is
 		// enabled when any tier limit or a denylist is configured.
@@ -165,25 +159,17 @@ func run(args []string, w io.Writer, hooks *testHooks) error {
 		return fmt.Errorf("unknown -policy %q (want open or closed)", *policy)
 	}
 
-	if *fleetN < 1 {
-		return fmt.Errorf("-fleet must be at least 1 replica")
-	}
-
-	m, man, err := core.LoadAny(*model)
+	m, man, err := core.LoadArtifact(*model)
 	if err != nil {
 		return fmt.Errorf("load model: %w", err)
 	}
 
 	// Per-client admission control: built only when a tier or denylist is
 	// configured, so the zero-flag deployment keeps the pre-admission
-	// data path byte for byte. In fleet mode each replica gets its own
-	// controller — the front's caller-affine routing keeps any one
-	// caller's limiter state on one replica, so per-replica controllers
-	// behave like the single-instance one without shared locks.
-	admissionOn := *qps > 0 || *qpm > 0 || *qpd > 0 || *denylistPath != ""
-	var trusted, denied *admission.CIDRSet
-	var admissionSeed int64
-	if admissionOn {
+	// data path byte for byte.
+	var ctrl *admission.Controller
+	if *qps > 0 || *qpm > 0 || *qpd > 0 || *denylistPath != "" {
+		var trusted *admission.CIDRSet
 		if *trustedProxy != "" {
 			prefixes, err := parseCIDRList(*trustedProxy)
 			if err != nil {
@@ -193,20 +179,11 @@ func run(args []string, w io.Writer, hooks *testHooks) error {
 				return fmt.Errorf("-trusted-proxies: %w", err)
 			}
 		}
-		if *denylistPath != "" {
-			if denied, err = admission.LoadDenylistFile(*denylistPath); err != nil {
-				return fmt.Errorf("-denylist: %w", err)
-			}
-		}
-		if admissionSeed, err = randomSeed(); err != nil {
+		seed, err := randomSeed()
+		if err != nil {
 			return err
 		}
-	}
-	newController := func() (*admission.Controller, error) {
-		if !admissionOn {
-			return nil, nil
-		}
-		ctrl := admission.New(admission.Config{
+		ctrl = admission.New(admission.Config{
 			QPS: *qps, QPM: *qpm, QPD: *qpd,
 			QPSStrikes:      *qpsStrikes,
 			QPMStrikes:      *qpmStrikes,
@@ -214,7 +191,7 @@ func run(args []string, w io.Writer, hooks *testHooks) error {
 			BlockSeconds:    *blockSecs,
 			MaxBlockSeconds: *maxBlockSecs,
 			MaxCallers:      *maxCallers,
-			Seed:            admissionSeed,
+			Seed:            seed,
 			Identity: admission.Identity{
 				Header:         *keyHeader,
 				Cookie:         *keyCookie,
@@ -224,68 +201,32 @@ func run(args []string, w io.Writer, hooks *testHooks) error {
 		// Installed via SetDenylist, not Config.Denylist, so a probe
 		// rejection is a hard startup error instead of New's counted drop:
 		// an operator who configured a denylist never serves without one.
-		if denied != nil {
+		if *denylistPath != "" {
+			denied, err := admission.LoadDenylistFile(*denylistPath)
+			if err != nil {
+				return fmt.Errorf("-denylist: %w", err)
+			}
 			if err := ctrl.SetDenylist(denied); err != nil {
-				return nil, fmt.Errorf("-denylist: %w", err)
+				return fmt.Errorf("-denylist: %w", err)
 			}
 		}
-		return ctrl, nil
-	}
-
-	replicas := make([]*gateway.Gateway, *fleetN)
-	var firstCtrl *admission.Controller
-	for i := range replicas {
-		ctrl, err := newController()
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			firstCtrl = ctrl
-		}
-		replicas[i], err = gateway.New(*upstream, m, gateway.Options{
-			MaxInFlight:     *maxInFlight,
-			MaxBodyBytes:    *maxBody,
-			ScoreBudget:     *scoreBudget,
-			UpstreamTimeout: *upTimeout,
-			Policy:          pol,
-			ModelVersion:    man.Version,
-			ModelSHA256:     man.ModelSHA256,
-			Admission:       ctrl,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	g := replicas[0]
-	if firstCtrl != nil {
-		set, _ := firstCtrl.Denylist()
+		set, _ := ctrl.Denylist()
 		fmt.Fprintf(w, "psigened: per-client admission on (qps=%d qpm=%d qpd=%d, denylist %d entries)\n",
 			*qps, *qpm, *qpd, set.Len())
 	}
 
-	// Fleet mode wraps the replicas in the consistent-hash front; the
-	// single-replica deployment serves the gateway directly, byte for
-	// byte what it was before fleet mode existed. When admission keys
-	// callers by a header, the ring routes by the same header so caller
-	// affinity and admission identity agree.
-	var handler http.Handler = g
-	drain := g.Drain
-	var front *fleet.Front
-	if *fleetN > 1 {
-		fleetSeed, err := randomSeed()
-		if err != nil {
-			return err
-		}
-		opts := fleet.Options{Seed: fleetSeed}
-		if *keyHeader != "" {
-			opts.KeyFunc = fleet.HeaderKey(*keyHeader)
-		}
-		if front, err = fleet.New(replicas, opts); err != nil {
-			return err
-		}
-		handler = front
-		drain = front.Drain
-		fmt.Fprintf(w, "psigened: fleet mode: %d replicas behind the consistent-hash front\n", *fleetN)
+	g, err := gateway.New(*upstream, m, gateway.Options{
+		MaxInFlight:     *maxInFlight,
+		MaxBodyBytes:    *maxBody,
+		ScoreBudget:     *scoreBudget,
+		UpstreamTimeout: *upTimeout,
+		Policy:          pol,
+		ModelVersion:    man.Version,
+		ModelSHA256:     man.ModelSHA256,
+		Admission:       ctrl,
+	})
+	if err != nil {
+		return err
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -297,7 +238,7 @@ func run(args []string, w io.Writer, hooks *testHooks) error {
 		hooks.ready <- ln.Addr().String()
 	}
 
-	srv := &http.Server{Handler: handler}
+	srv := &http.Server{Handler: g}
 	errCh := make(chan error, 2)
 	go func() {
 		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
@@ -326,25 +267,12 @@ func run(args []string, w io.Writer, hooks *testHooks) error {
 		if dd == "" && *denylistPath != "" {
 			dd = filepath.Dir(*denylistPath)
 		}
-		// In fleet mode the admin surface is the front's: statz and
-		// metrics aggregate every replica, and reload is the two-phase
-		// all-or-nothing fanout instead of a single gateway's swap.
-		var adminHandler http.Handler
-		if front != nil {
-			adminHandler = front.Admin(fleet.AdminConfig{
-				Token:    *adminToken,
-				ModelDir: dir,
-				Log:      w,
-			})
-		} else {
-			adminHandler = g.Admin(gateway.AdminConfig{
-				Token:    *adminToken,
-				ModelDir: dir,
-				DenyDir:  dd,
-				Log:      w,
-			})
-		}
-		adminSrv = &http.Server{Handler: adminHandler}
+		adminSrv = &http.Server{Handler: g.Admin(gateway.AdminConfig{
+			Token:    *adminToken,
+			ModelDir: dir,
+			DenyDir:  dd,
+			Log:      w,
+		})}
 		go func() {
 			if err := adminSrv.Serve(adminLn); !errors.Is(err, http.ErrServerClosed) {
 				errCh <- err
@@ -370,7 +298,7 @@ func run(args []string, w io.Writer, hooks *testHooks) error {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := drain(ctx); err != nil {
+	if err := g.Drain(ctx); err != nil {
 		fmt.Fprintf(w, "psigened: drain incomplete: %v\n", err)
 	}
 	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -1,13 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"psigene/internal/attackgen"
@@ -27,8 +30,8 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-model", "m.json", "-upstream", "http://h", "-policy", "bogus"}, &sb, nil); err == nil {
 		t.Fatal("bad -policy: want error")
 	}
-	if err := run([]string{"-model", "/nonexistent.json", "-upstream", "http://h"}, &sb, nil); err == nil {
-		t.Fatal("missing model file: want error")
+	if err := run([]string{"-model", "/nonexistent", "-upstream", "http://h"}, &sb, nil); err == nil {
+		t.Fatal("missing model: want error")
 	}
 }
 
@@ -37,17 +40,7 @@ func TestRunFlagErrors(t *testing.T) {
 // surface answers on its own token-guarded listener (and is absent from
 // the data path), and the stop hook drains cleanly.
 func TestDaemonEndToEnd(t *testing.T) {
-	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 41).Requests(1200)
-	benign := traffic.NewGenerator(42).Requests(1500)
-	m, err := core.Train(attacks, benign, core.Config{})
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	model := filepath.Join(t.TempDir(), "model.json")
-	if err := m.SaveFile(model); err != nil {
-		t.Fatal(err)
-	}
-
+	model, _ := trainedModel(t)
 	up := httptest.NewServer(webapp.New(20))
 	defer up.Close()
 
@@ -106,9 +99,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("benign: %d %q", resp.StatusCode, body)
 	}
 	// The generation header carries the serving artifact's identity:
-	// generation, version (legacy files get a synthesized file: version)
-	// and truncated content hash.
-	if gen := resp.Header.Get("X-Psigene-Gen"); !strings.HasPrefix(gen, "1 file:model.json sha256:") {
+	// generation, manifest version and truncated content hash.
+	if gen := resp.Header.Get("X-Psigene-Gen"); !strings.HasPrefix(gen, "1 v1 sha256:") {
 		t.Fatalf("generation header %q", gen)
 	}
 	// A classic tautology is stopped at the gateway.
@@ -120,12 +112,13 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal("blocked response must name the matching signatures")
 	}
 	if resp, body := get(adminBase, "/-/statz", "hunter2"); resp.StatusCode != http.StatusOK ||
-		!strings.Contains(body, `"blocked": 1`) || !strings.Contains(body, `"modelVersion": "file:model.json"`) {
+		!strings.Contains(body, `"blocked": 1`) || !strings.Contains(body, `"modelVersion": "v1"`) {
 		t.Fatalf("statz: %d %s", resp.StatusCode, body)
 	}
 
 	// Reload is confined to the model dir: names that resolve outside it
-	// are rejected up front; the model's own basename reloads fine.
+	// are rejected up front; a bare model file is refused while the old
+	// generation keeps serving; the artifact's own name reloads fine.
 	post := func(path string) int {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, adminBase+path, nil)
@@ -143,7 +136,13 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if code := post("/-/reload?path=" + url.QueryEscape("../../etc/passwd")); code != http.StatusBadRequest {
 		t.Fatalf("traversal reload: %d, want 400", code)
 	}
-	if code := post("/-/reload?path=model.json"); code != http.StatusOK {
+	if code := post("/-/reload?path=plain.json"); code != http.StatusInternalServerError {
+		t.Fatalf("plain-file reload: %d, want 500", code)
+	}
+	if resp, _ := get(base, "/wavsep/Case1.jsp?id=4", ""); !strings.HasPrefix(resp.Header.Get("X-Psigene-Gen"), "1 v1 ") {
+		t.Fatalf("after refused reload, serving %q, want generation 1", resp.Header.Get("X-Psigene-Gen"))
+	}
+	if code := post("/-/reload?path=v1"); code != http.StatusOK {
 		t.Fatalf("reload: %d, want 200", code)
 	}
 
@@ -156,135 +155,73 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDaemonFleetMode boots the daemon with -fleet 3: the data path
-// serves through the front (every verdict carries the replica header),
-// the admin surface is the fleet aggregate (per-replica statz, labeled
-// metrics), reload fans out to every replica, and -fleet 0 is rejected.
-func TestDaemonFleetMode(t *testing.T) {
-	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 45).Requests(1200)
-	benign := traffic.NewGenerator(46).Requests(1500)
-	m, err := core.Train(attacks, benign, core.Config{})
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	model := filepath.Join(t.TempDir(), "model.json")
-	if err := m.SaveFile(model); err != nil {
-		t.Fatal(err)
-	}
-
-	up := httptest.NewServer(webapp.New(20))
-	defer up.Close()
-
-	var sb strings.Builder
-	if err := run([]string{"-model", model, "-upstream", up.URL, "-fleet", "0"}, &sb, nil); err == nil {
-		t.Fatal("-fleet 0: want error")
-	}
-
-	hooks := &testHooks{
-		ready:      make(chan string, 1),
-		adminReady: make(chan string, 1),
-		stop:       make(chan struct{}),
-	}
-	var out strings.Builder
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-model", model, "-upstream", up.URL, "-fleet", "3",
-			"-listen", "127.0.0.1:0", "-admin-listen", "127.0.0.1:0",
-			"-admin-token", "hunter2",
-		}, &out, hooks)
-	}()
-	base := "http://" + <-hooks.ready
-	adminBase := "http://" + <-hooks.adminReady
-
-	get := func(base, path, token string) (*http.Response, string) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, base+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if token != "" {
-			req.Header.Set("Authorization", "Bearer "+token)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp, string(body)
-	}
-
-	resp, body := get(base, "/wavsep/Case1.jsp?id=3", "")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "<html>") {
-		t.Fatalf("benign through fleet: %d %q", resp.StatusCode, body)
-	}
-	if fl := resp.Header.Get("X-Psigene-Fleet"); fl == "" {
-		t.Fatal("fleet mode must stamp X-Psigene-Fleet on every verdict")
-	}
-	resp, _ = get(base, "/wavsep/Case1.jsp?id=1%27%20or%20%271%27=%271", "")
-	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("injection through fleet: %d, want 403", resp.StatusCode)
-	}
-
-	if resp, _ := get(adminBase, "/-/readyz", "hunter2"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("fleet readyz: %d", resp.StatusCode)
-	}
-	if resp, body := get(adminBase, "/-/statz", "hunter2"); resp.StatusCode != http.StatusOK ||
-		!strings.Contains(body, `"replicas"`) || !strings.Contains(body, `"generation": 1`) {
-		t.Fatalf("fleet statz: %d %s", resp.StatusCode, body)
-	}
-	if resp, body := get(adminBase, "/-/metrics", "hunter2"); resp.StatusCode != http.StatusOK ||
-		!strings.Contains(body, `psigened_fleet_replica_served_total{replica="2"}`) {
-		t.Fatalf("fleet metrics: %d %s", resp.StatusCode, body)
-	}
-
-	// Reload fans out to every replica and bumps the fleet generation.
-	req, err := http.NewRequest(http.MethodPost, adminBase+"/-/reload?path=model.json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Authorization", "Bearer hunter2")
-	rresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rresp.Body.Close()
-	if rresp.StatusCode != http.StatusOK {
-		t.Fatalf("fleet reload: %d", rresp.StatusCode)
-	}
-	if resp, body := get(adminBase, "/-/statz", "hunter2"); resp.StatusCode != http.StatusOK ||
-		!strings.Contains(body, `"generation": 2`) {
-		t.Fatalf("statz after reload: %d %s", resp.StatusCode, body)
-	}
-
-	close(hooks.stop)
-	if err := <-done; err != nil {
-		t.Fatalf("fleet daemon exit: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "fleet mode: 3 replicas") {
-		t.Fatalf("missing fleet startup log:\n%s", out.String())
-	}
-}
-
 // TestDaemonListenConflict covers the bind-failure path.
 func TestDaemonListenConflict(t *testing.T) {
-	model := filepath.Join(t.TempDir(), "model.json")
-	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 43).Requests(600)
-	benign := traffic.NewGenerator(44).Requests(900)
-	m, err := core.Train(attacks, benign, core.Config{})
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	if err := m.SaveFile(model); err != nil {
-		t.Fatal(err)
-	}
+	model, _ := trainedModel(t)
 	up := httptest.NewServer(webapp.New(5))
 	defer up.Close()
 	var sb strings.Builder
-	err = run([]string{"-model", model, "-upstream", up.URL, "-listen", "256.256.256.256:1"}, &sb, nil)
+	err := run([]string{"-model", model, "-upstream", up.URL, "-listen", "256.256.256.256:1"}, &sb, nil)
 	if err == nil {
 		t.Fatal("unbindable address: want error")
 	}
 	_ = fmt.Sprint(err)
+}
+
+// TestDaemonRefusesPlainModelFile: a bare serialized model — valid model
+// bytes with no manifest to verify them — is refused at startup, and the
+// error names the artifact format the daemon wants instead.
+func TestDaemonRefusesPlainModelFile(t *testing.T) {
+	_, plain := trainedModel(t)
+	var sb strings.Builder
+	err := run([]string{"-model", plain, "-upstream", "http://127.0.0.1:1"}, &sb, nil)
+	if err == nil || !strings.Contains(err.Error(), "artifact directory") {
+		t.Fatalf("plain model file: want an artifact-format error, got %v", err)
+	}
+}
+
+var (
+	trainedOnce sync.Once
+	trainedDir  string
+	trainedErr  error
+)
+
+// trainedModel trains one small model per test binary and saves it twice
+// in a shared directory: as artifact "v1" and as "plain.json", the bare
+// serialized model the daemon must refuse. It returns both paths.
+func trainedModel(t *testing.T) (artifact, plain string) {
+	t.Helper()
+	trainedOnce.Do(func() {
+		attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 41).Requests(1200)
+		benign := traffic.NewGenerator(42).Requests(1500)
+		m, err := core.Train(attacks, benign, core.Config{})
+		if err != nil {
+			trainedErr = err
+			return
+		}
+		// Not t.TempDir(): the model outlives the first test using it.
+		if trainedDir, trainedErr = os.MkdirTemp("", "psigened-model-"); trainedErr != nil {
+			return
+		}
+		if _, trainedErr = m.SaveArtifact(filepath.Join(trainedDir, "v1"), core.Manifest{Version: "v1"}); trainedErr != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if trainedErr = m.Save(&buf); trainedErr != nil {
+			return
+		}
+		trainedErr = os.WriteFile(filepath.Join(trainedDir, "plain.json"), buf.Bytes(), 0o644)
+	})
+	if trainedErr != nil {
+		t.Fatalf("training model: %v", trainedErr)
+	}
+	return filepath.Join(trainedDir, "v1"), filepath.Join(trainedDir, "plain.json")
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if trainedDir != "" {
+		os.RemoveAll(trainedDir)
+	}
+	os.Exit(code)
 }

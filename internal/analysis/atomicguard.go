@@ -12,13 +12,10 @@ import (
 // lifecycle's promotion path): a store of an unvalidated value there is a
 // production outage one corrupt model push away, so swap sites must
 // follow the validate-probe-swap idiom the hot-reload design documents.
-// The fleet front's coordinated reload swaps a detector into every
-// replica, so it is held to the same probe-before-commit bar.
 var DefaultProbeGatedPackages = []string{
 	"internal/gateway",
 	"internal/lifecycle",
 	"internal/admission",
-	"internal/fleet",
 }
 
 // AtomicGuardAnalyzer enforces two atomicity disciplines (check

@@ -28,11 +28,7 @@ import (
 // Admission control joins for the same reason: the abuse-chaos suite
 // replays bit-identical shed/block/recover sequences, which holds only
 // while every limiter decision reads the injected clock and every jitter
-// draw comes from the seeded generator. The fleet front joins last: its
-// routing ring, failover order, retry jitter and probe cadence are all
-// functions of (seed, dispatch count), and the fleet-chaos suite pins
-// its verdict stream bit-identical to a single instance — a stray
-// wall-clock or map-order dependency there breaks that parity oracle.
+// draw comes from the seeded generator.
 var DefaultKernelPackages = []string{
 	"internal/matrix",
 	"internal/ml",
@@ -45,7 +41,6 @@ var DefaultKernelPackages = []string{
 	"internal/lifecycle",
 	"internal/gateway",
 	"internal/admission",
-	"internal/fleet",
 }
 
 func isKernelPackage(pkg *Package, kernel []string) bool {

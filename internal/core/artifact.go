@@ -40,8 +40,8 @@ type Manifest struct {
 	// SchemaVersion is the manifest format version.
 	SchemaVersion int `json:"schemaVersion"`
 	// Version is the artifact's version name (the lifecycle store assigns
-	// "v000001"-style names; synthesized manifests for legacy single-file
-	// models use "file:<basename>").
+	// "v000001"-style names; psigene train and tune use the base name of
+	// the -out directory).
 	Version string `json:"version"`
 	// Parent is the version this model was derived from by incremental
 	// retraining; empty for a from-scratch bootstrap.
@@ -142,6 +142,9 @@ func (m *Model) SaveArtifact(dir string, man Manifest) (Manifest, error) {
 // directory, without loading the model.
 func ReadManifest(dir string) (Manifest, error) {
 	var man Manifest
+	if info, err := os.Stat(dir); err == nil && !info.IsDir() {
+		return man, fmt.Errorf("core: %s is a file, not a model artifact directory (%s + %s)", dir, ManifestFile, ModelFile)
+	}
 	raw, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if err != nil {
 		return man, fmt.Errorf("core: read artifact manifest: %w", err)
@@ -185,38 +188,6 @@ func LoadArtifact(dir string) (*Model, Manifest, error) {
 	}
 	if rev := feature.Revision(m.Features); rev != man.FeatureRevision {
 		return nil, man, fmt.Errorf("core: artifact %s feature revision %s does not match manifest %s", man.Version, rev, man.FeatureRevision)
-	}
-	return m, man, nil
-}
-
-// LoadAny loads a model from either form: an artifact directory (routed
-// through LoadArtifact, hash-verified) or a pre-refactor single-file
-// model (legacy JSON, for which a manifest is synthesized from the file's
-// own bytes so callers always get a version name and content hash).
-func LoadAny(path string) (*Model, Manifest, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	if info.IsDir() {
-		return LoadArtifact(path)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	m, err := Load(bytes.NewReader(raw))
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	sum := sha256.Sum256(raw)
-	man := Manifest{
-		SchemaVersion:   ManifestSchemaVersion,
-		Version:         "file:" + filepath.Base(path),
-		ModelSHA256:     hex.EncodeToString(sum[:]),
-		FeatureRevision: feature.Revision(m.Features),
-		Signatures:      len(m.Signatures),
-		AttackSamples:   m.Stats.AttackSamples,
 	}
 	return m, man, nil
 }

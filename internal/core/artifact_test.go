@@ -206,44 +206,26 @@ func TestLoadArtifactManifestMismatches(t *testing.T) {
 	})
 }
 
-// TestLoadAnyAndShim pins the compatibility surface: LoadAny handles both
-// a legacy single-file model (synthesizing a file: manifest) and an
-// artifact directory, and core.LoadFile still loads pre-refactor files.
-func TestLoadAnyAndShim(t *testing.T) {
-	m := smallModel(t)
-	file := filepath.Join(t.TempDir(), "legacy.json")
-	if err := m.SaveFile(file); err != nil {
+// TestLoadArtifactRejectsPlainFile pins the single model format: a bare
+// serialized model (what Save writes) is not an artifact, and the error
+// says so instead of loading it unverified.
+func TestLoadArtifactRejectsPlainFile(t *testing.T) {
+	var buf bytes.Buffer
+	if err := smallModel(t).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	file := filepath.Join(t.TempDir(), "model.json")
+	if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadArtifact(file); err == nil || !strings.Contains(err.Error(), "artifact directory") {
+		t.Fatalf("plain file: want artifact-format error, got %v", err)
+	}
+}
 
-	lm, lman, err := LoadAny(file)
-	if err != nil {
-		t.Fatalf("LoadAny(file): %v", err)
-	}
-	if lman.Version != "file:legacy.json" || lman.ModelSHA256 == "" || lman.Signatures != len(m.Signatures) {
-		t.Fatalf("synthesized manifest %+v", lman)
-	}
-	if len(lm.Signatures) != len(m.Signatures) {
-		t.Fatal("legacy model loaded wrong")
-	}
-
-	dir, man := saveTestArtifact(t, Manifest{Version: "v000001"})
-	_, dman, err := LoadAny(dir)
-	if err != nil {
-		t.Fatalf("LoadAny(dir): %v", err)
-	}
-	if dman != man {
-		t.Fatalf("LoadAny(dir) manifest %+v, want %+v", dman, man)
-	}
-
-	shim, err := LoadFile(file)
-	if err != nil {
-		t.Fatalf("LoadFile shim: %v", err)
-	}
-	if shim.Name() != m.Name() {
-		t.Fatalf("shim Name %q, want %q", shim.Name(), m.Name())
-	}
-	if _, err := LoadFile("/nonexistent/dir-or-file"); err == nil {
+// TestLoadFileMissing pins that loading a path that does not exist fails.
+func TestLoadFileMissing(t *testing.T) {
+	if _, _, err := LoadArtifact(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Fatal("missing path: want error")
 	}
 }

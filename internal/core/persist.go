@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"psigene/internal/feature"
 	"psigene/internal/ml"
@@ -65,19 +64,6 @@ func (m *Model) Save(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// SaveFile writes the model to path.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return fmt.Errorf("save model: %w", err)
-	}
-	return nil
-}
-
 // Load reads a model saved with Save. The result detects (Inspect,
 // Probabilities) but does not retain training state, so Update returns an
 // error.
@@ -122,14 +108,4 @@ func Load(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("core: model has no signatures")
 	}
 	return m, nil
-}
-
-// LoadFile reads a model from path. It is a compatibility shim over
-// LoadAny: a pre-refactor single-file model loads unchanged, and a
-// versioned artifact directory is routed through LoadArtifact (manifest
-// read, content hash verified) with the manifest discarded. Callers that
-// want the manifest use LoadAny or LoadArtifact directly.
-func LoadFile(path string) (*Model, error) {
-	m, _, err := LoadAny(path)
-	return m, err
 }

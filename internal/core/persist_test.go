@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -42,21 +41,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("probabilities differ on %q: %v vs %v", r.RawQuery, pa, pb)
 			}
 		}
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	m := smallModel(t)
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
-	}
-	if loaded.Name() != m.Name() {
-		t.Fatalf("Name: %q vs %q", loaded.Name(), m.Name())
 	}
 }
 
@@ -152,11 +136,5 @@ func TestLoadCorrupted(t *testing.T) {
 				loaded.Inspect(r) // must not panic
 			}
 		}
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile("/nonexistent/model.json"); err == nil {
-		t.Fatal("want error")
 	}
 }

@@ -131,7 +131,7 @@ func TestCanaryAdminEndpoints(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("canary start: %d: %s", w.Code, w.Body.String())
 	}
-	if w := adminGet(admin, "/-/canary"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "file:") {
+	if w := adminGet(admin, "/-/canary"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"v1"`) {
 		t.Fatalf("canary report: %d: %s", w.Code, w.Body.String())
 	}
 	// Traversal is rejected before the filesystem is touched.
@@ -152,7 +152,7 @@ func TestCanaryAdminEndpoints(t *testing.T) {
 	if w := adminPost(admin, "/-/canary/promote"); w.Code != http.StatusOK {
 		t.Fatalf("canary promote: %d: %s", w.Code, w.Body.String())
 	}
-	if snap := g.Snapshot(); !strings.HasPrefix(snap.ModelVersion, "file:") {
+	if snap := g.Snapshot(); snap.ModelVersion != "v1" {
 		t.Fatalf("promoted model version %q", snap.ModelVersion)
 	}
 }

@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -192,15 +190,11 @@ func TestChaosReloadDuringStorm(t *testing.T) {
 	defer srv.Close()
 	g := mustGateway(t, srv.URL, snortEngine(t), chaosOptions())
 
-	// One model dir holding both pushes: a copy of the good model and a
-	// corrupt one. The admin surface only accepts names inside it.
+	// One model dir holding both pushes: a good artifact and a tampered
+	// one. The admin surface only accepts names inside it.
 	modelDir := t.TempDir()
-	goodBytes, err := os.ReadFile(trainedModel(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, filepath.Join(modelDir, "good.json"), string(goodBytes))
-	writeFile(t, filepath.Join(modelDir, "corrupt.json"), `{"version": 1, "features": [{"name`)
+	saveArtifact(t, modelDir, "good")
+	tamper(t, saveArtifact(t, modelDir, "corrupt"))
 	admin := g.Admin(AdminConfig{ModelDir: modelDir})
 
 	wantGen := uint64(1)
@@ -211,12 +205,12 @@ func TestChaosReloadDuringStorm(t *testing.T) {
 			if !allowedStatuses[w.Code] {
 				t.Fatalf("request %d: status %d", i, w.Code)
 			}
-			name := "good.json"
+			name := "good"
 			if (i/30)%2 == 0 {
-				name = "corrupt.json"
+				name = "corrupt"
 			}
 			rw := adminReload(admin, name)
-			if name == "good.json" {
+			if name == "good" {
 				if rw.Code != http.StatusOK {
 					t.Fatalf("good reload at %d: %d: %s", i, rw.Code, rw.Body.String())
 				}

@@ -12,7 +12,8 @@ import (
 )
 
 // hopByHopHeaders are stripped when copying headers either direction
-// (RFC 7230 §6.1); everything else passes through untouched.
+// (RFC 9110 §7.6.1), together with any header the Connection field
+// names; everything else passes through untouched.
 var hopByHopHeaders = map[string]bool{
 	"Connection":          true,
 	"Keep-Alive":          true,
@@ -50,7 +51,10 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, b
 	copyHeaders(out.Header, r.Header)
 	setForwardedFor(out.Header, r)
 
-	resp, err := g.opts.Client.Do(out)
+	// One round trip, not Client.Do: an upstream redirect is the
+	// application's answer and goes back to the client with its Location
+	// and cookies, instead of being followed here unscored.
+	resp, err := g.transport.RoundTrip(out)
 	if err != nil {
 		g.upstreamFailed(w, err)
 		return
@@ -127,8 +131,8 @@ func (g *Gateway) breakerFailure() {
 }
 
 // setForwardedFor appends the client IP (RemoteAddr minus the port) to
-// any X-Forwarded-For chain an outer proxy already built, rather than
-// overwriting it.
+// any X-Forwarded-For chain an outer proxy already built (as copied into
+// h), rather than overwriting it.
 func setForwardedFor(h http.Header, r *http.Request) {
 	ip := r.RemoteAddr
 	if host, _, err := net.SplitHostPort(ip); err == nil {
@@ -137,19 +141,36 @@ func setForwardedFor(h http.Header, r *http.Request) {
 	if ip == "" {
 		return
 	}
-	if prior := strings.Join(r.Header.Values("X-Forwarded-For"), ", "); prior != "" {
+	if prior := strings.Join(h.Values("X-Forwarded-For"), ", "); prior != "" {
 		ip = prior + ", " + ip
 	}
 	h.Set("X-Forwarded-For", ip)
 }
 
+// copyHeaders adds src's end-to-end headers to dst.
 func copyHeaders(dst, src http.Header) {
+	conn := src.Values("Connection")
 	for k, vs := range src {
-		if hopByHopHeaders[http.CanonicalHeaderKey(k)] {
+		if hopByHopHeaders[http.CanonicalHeaderKey(k)] || listsToken(conn, k) {
 			continue
 		}
 		for _, v := range vs {
 			dst.Add(k, v)
 		}
 	}
+}
+
+// listsToken reports whether any comma-separated element of vs equals
+// tok, ignoring case and surrounding whitespace.
+func listsToken(vs []string, tok string) bool {
+	for _, v := range vs {
+		for v != "" {
+			var elem string
+			elem, v, _ = strings.Cut(v, ",")
+			if strings.EqualFold(strings.TrimSpace(elem), tok) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -106,8 +106,11 @@ type Options struct {
 	// DisableBreaker turns the upstream breaker off (BreakerThreshold 0
 	// means "default", so disabling needs its own switch).
 	DisableBreaker bool
-	// Client issues upstream requests. Default: http.DefaultTransport
-	// with no client-level timeout (per-request deadlines govern).
+	// Client supplies the Transport upstream requests go through; nil
+	// (or a nil Transport) means http.DefaultTransport. Only the
+	// RoundTripper is used: a proxy relays an upstream 3xx to its client
+	// rather than following it, and per-request deadlines replace any
+	// client-level timeout.
 	Client *http.Client
 	// Now is the clock used for latency accounting and deadline math;
 	// injectable so chaos tests control time. Default time.Now.
@@ -152,9 +155,6 @@ func (o *Options) fill() {
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 8
 	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
 	if o.Now == nil {
 		//lint:ignore walltime the clock is injected: every decision reads o.Now, the chaos suites replace it with a deterministic counter, and this default only binds the real clock for production deployments
 		o.Now = time.Now
@@ -197,8 +197,9 @@ const latencyRingSize = 1024
 // Gateway is the scoring reverse proxy. Create with New; it serves via
 // ServeHTTP and shuts down via Drain.
 type Gateway struct {
-	opts     Options
-	upstream *url.URL
+	opts      Options
+	upstream  *url.URL
+	transport http.RoundTripper
 
 	state  atomic.Pointer[detectorState]
 	gen    atomic.Uint64
@@ -259,9 +260,13 @@ func New(upstream string, det ids.Detector, opts Options) (*Gateway, error) {
 	}
 	opts.fill()
 	g := &Gateway{
-		opts:     opts,
-		upstream: u,
-		sem:      make(chan struct{}, opts.MaxInFlight),
+		opts:      opts,
+		upstream:  u,
+		transport: http.DefaultTransport,
+		sem:       make(chan struct{}, opts.MaxInFlight),
+	}
+	if opts.Client != nil && opts.Client.Transport != nil {
+		g.transport = opts.Client.Transport
 	}
 	if !opts.DisableBreaker {
 		g.breaker = resilience.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
@@ -281,24 +286,6 @@ func New(upstream string, det ids.Detector, opts Options) (*Gateway, error) {
 func (g *Gateway) Detector() (ids.Detector, uint64) {
 	s := g.state.Load()
 	return s.det, s.gen
-}
-
-// ServingModel returns the serving detector together with its generation
-// and the artifact identity it was loaded from (empty strings when the
-// detector is not artifact-backed). The fleet front reads it to save the
-// serving state before a coordinated swap so a partial fanout failure can
-// roll every replica back to exactly what it was serving.
-func (g *Gateway) ServingModel() (det ids.Detector, gen uint64, version, hash string) {
-	s := g.state.Load()
-	return s.det, s.gen, s.version, s.hash
-}
-
-// Ready reports whether the gateway is accepting new requests — the
-// programmatic equivalent of GET /-/readyz. The fleet front's active
-// health probes consult it so a draining replica drops out of the ring
-// without a client-visible failure.
-func (g *Gateway) Ready() bool {
-	return !g.draining.Load()
 }
 
 // ServeHTTP is the data path: every request — including anything under

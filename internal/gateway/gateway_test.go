@@ -221,6 +221,85 @@ func TestForwardedForChain(t *testing.T) {
 	}
 }
 
+// TestUpstreamRedirectPassesThrough: an upstream 3xx is the application's
+// answer and reaches the client as sent — status, Location and
+// Set-Cookie — instead of being followed by the gateway, unscored.
+func TestUpstreamRedirectPassesThrough(t *testing.T) {
+	var paths []string
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		paths = append(paths, r.URL.Path)
+		if r.URL.Path == "/login" {
+			http.SetCookie(w, &http.Cookie{Name: "session", Value: "abc123"})
+			http.Redirect(w, r, "/account", http.StatusFound)
+			return
+		}
+		fmt.Fprint(w, "account page")
+	}))
+	defer up.Close()
+	g := mustGateway(t, up.URL, stubDetector{}, Options{})
+
+	w := get(g, "/login?user=alice")
+	if w.Code != http.StatusFound {
+		t.Fatalf("status %d, want 302", w.Code)
+	}
+	if loc := w.Header().Get("Location"); loc != "/account" {
+		t.Fatalf("Location %q, want /account", loc)
+	}
+	if c := w.Header().Get("Set-Cookie"); !strings.HasPrefix(c, "session=abc123") {
+		t.Fatalf("Set-Cookie %q, want the session cookie", c)
+	}
+	if len(paths) != 1 || paths[0] != "/login" {
+		t.Fatalf("upstream saw %v, want exactly [/login]", paths)
+	}
+}
+
+// TestConnectionNamedHeadersNotForwarded: a header the client's
+// Connection field names is hop-by-hop (RFC 9110 §7.6.1) and stops at
+// the gateway, matched case-insensitively within a list.
+func TestConnectionNamedHeadersNotForwarded(t *testing.T) {
+	var seen http.Header
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen = r.Header.Clone()
+	}))
+	defer up.Close()
+	g := mustGateway(t, up.URL, stubDetector{}, Options{})
+
+	r := httptest.NewRequest(http.MethodGet, "/p", nil)
+	r.Header.Set("Connection", "keep-alive, x-secret")
+	r.Header.Set("X-Secret", "hop-only")
+	r.Header.Set("X-Kept", "end-to-end")
+	g.ServeHTTP(httptest.NewRecorder(), r)
+	if v := seen.Get("X-Secret"); v != "" {
+		t.Fatalf("upstream saw Connection-named X-Secret %q", v)
+	}
+	if v := seen.Get("X-Kept"); v != "end-to-end" {
+		t.Fatalf("upstream saw X-Kept %q, want it forwarded", v)
+	}
+}
+
+// TestConnectionNamedHeadersNotReturned: the same rule on the way back —
+// a header the upstream's Connection field names never reaches the client.
+func TestConnectionNamedHeadersNotReturned(t *testing.T) {
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Connection", "X-Upstream-Secret")
+		w.Header().Set("X-Upstream-Secret", "hop-only")
+		w.Header().Set("X-Kept", "end-to-end")
+	}))
+	defer up.Close()
+	g := mustGateway(t, up.URL, stubDetector{}, Options{})
+
+	w := get(g, "/p")
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d", w.Code)
+	}
+	if v := w.Header().Get("X-Upstream-Secret"); v != "" {
+		t.Fatalf("client saw Connection-named X-Upstream-Secret %q", v)
+	}
+	if v := w.Header().Get("X-Kept"); v != "end-to-end" {
+		t.Fatalf("client saw X-Kept %q, want it returned", v)
+	}
+}
+
 func TestResponseCap(t *testing.T) {
 	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(make([]byte, 100))
@@ -355,7 +434,8 @@ func TestAdminBearerToken(t *testing.T) {
 	}
 }
 
-// trainedModelFile trains a small model once and saves it for reload tests.
+// trainedModel trains a small model once and saves it as artifact "v1"
+// for the reload tests.
 var (
 	trainedOnce sync.Once
 	trainedDir  string
@@ -381,13 +461,35 @@ func trainedModel(t *testing.T) string {
 			return
 		}
 		trainedDir = dir
-		trainedPath = filepath.Join(dir, "model.json")
-		trainedErr = m.SaveFile(trainedPath)
+		trainedPath = filepath.Join(dir, "v1")
+		_, trainedErr = m.SaveArtifact(trainedPath, core.Manifest{Version: "v1"})
 	})
 	if trainedErr != nil {
 		t.Fatalf("training model: %v", trainedErr)
 	}
 	return trainedPath
+}
+
+// saveArtifact writes the trained model as artifact dir/name, versioned
+// name, and returns its path.
+func saveArtifact(t *testing.T, dir, name string) string {
+	t.Helper()
+	m, _, err := core.LoadArtifact(trainedModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if _, err := m.SaveArtifact(path, core.Manifest{Version: name}); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// tamper truncates an artifact's model mid-document after its manifest
+// was written, as a half-finished copy would.
+func tamper(t *testing.T, artifact string) {
+	t.Helper()
+	writeFile(t, filepath.Join(artifact, core.ModelFile), `{"version": 1, "features": [{"na`)
 }
 
 func TestMain(m *testing.M) {
@@ -416,10 +518,10 @@ func TestReloadSwapsGeneration(t *testing.T) {
 	if det.Name() == "stub" {
 		t.Fatal("detector not swapped")
 	}
-	// Reloaded models are artifact-tagged: generation, then the version
-	// ("file:<name>" for single-file models) and the content hash.
+	// Reloaded models are artifact-tagged: generation, then the manifest
+	// version and the content hash.
 	gotGen := get(g, "/p?id=1").Header().Get("X-Psigene-Gen")
-	if !strings.HasPrefix(gotGen, "2 file:") || !strings.Contains(gotGen, " sha256:") {
+	if !strings.HasPrefix(gotGen, "2 v1 sha256:") {
 		t.Fatalf("request scored by generation %q, want 2 with model tags", gotGen)
 	}
 }
@@ -429,13 +531,22 @@ func TestFailedReloadKeepsOldDetector(t *testing.T) {
 	defer up.Close()
 	g := mustGateway(t, up.URL, stubDetector{needle: "union select"}, Options{})
 
-	// A corrupt model file: valid JSON prefix, truncated mid-document.
+	// Three pushes that must all be refused: an artifact whose model was
+	// truncated after its manifest was written, a bare model file (valid
+	// model bytes, but no manifest or hash to verify them against), and a
+	// name that does not exist.
 	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "corrupt.json"), `{"version": 1, "features": [{"na`)
+	tamper(t, saveArtifact(t, dir, "tampered"))
+	plain, err := os.ReadFile(filepath.Join(trainedModel(t), core.ModelFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFile(t, filepath.Join(dir, "plain.json"), string(plain))
 	var log strings.Builder
 	admin := g.Admin(AdminConfig{ModelDir: dir, Log: &log})
 
-	for _, name := range []string{"corrupt.json", "missing.json"} {
+	names := []string{"tampered", "plain.json", "missing"}
+	for _, name := range names {
 		w := adminReload(admin, name)
 		if w.Code != http.StatusInternalServerError {
 			t.Fatalf("reload %s: %d, want 500", name, w.Code)
@@ -448,8 +559,13 @@ func TestFailedReloadKeepsOldDetector(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(log.String(), "corrupt.json") || !strings.Contains(log.String(), "missing.json") {
-		t.Fatalf("reload failures not logged:\n%s", log.String())
+	for _, name := range names {
+		if !strings.Contains(log.String(), name) {
+			t.Fatalf("reload failure %s not logged:\n%s", name, log.String())
+		}
+	}
+	if !strings.Contains(log.String(), "not a model artifact directory") {
+		t.Fatalf("plain-file reload not explained in the log:\n%s", log.String())
 	}
 	// A detector that panics on probe is rejected before the swap.
 	if _, err := g.Swap(panicDetector{}); err == nil {
@@ -464,7 +580,7 @@ func TestFailedReloadKeepsOldDetector(t *testing.T) {
 	if w := get(g, "/p?id=1+union+select+2"); w.Code != http.StatusForbidden {
 		t.Fatalf("old detector no longer blocking: %d", w.Code)
 	}
-	if s := g.Snapshot(); s.ReloadFailures != 3 || s.Reloads != 0 {
+	if s := g.Snapshot(); s.ReloadFailures != 4 || s.Reloads != 0 {
 		t.Fatalf("reload counters: %+v", s)
 	}
 }

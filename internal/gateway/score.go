@@ -38,18 +38,6 @@ func probe(det ids.Detector) (err error) {
 	return nil
 }
 
-// ProbeDetector validates a candidate detector without installing it: the
-// probe workload must score without panicking. This is the first phase of
-// the fleet's two-phase coordinated reload — every replica probes the
-// candidate before any replica commits, so a candidate that would be
-// rejected anywhere is rejected everywhere and no replica ever swaps.
-func (g *Gateway) ProbeDetector(det ids.Detector) error {
-	if det == nil {
-		return fmt.Errorf("gateway: nil detector")
-	}
-	return probe(det)
-}
-
 // probeRequests is the validation workload for candidate detectors.
 var probeRequests = []httpx.Request{
 	{Method: "GET", Path: "/"},

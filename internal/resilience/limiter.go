@@ -82,7 +82,7 @@ func floorDiv(a, b int64) int64 {
 // Penalty returns the strike-th penalty-box duration for the caller
 // identified by seed: base·2^(strike-1) capped at max, jittered into
 // [d/2, d). The escalation punishes repeat offenders progressively; the
-// jitter keeps a fleet of simultaneously-boxed abusers from thundering
+// jitter keeps a crowd of simultaneously-boxed abusers from thundering
 // back in the same instant; and deriving the jitter bits from
 // (seed, strike) with the splitmix finalizer — instead of drawing from a
 // shared generator — keeps every duration a pure function of its inputs,

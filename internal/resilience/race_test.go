@@ -1,12 +1,12 @@
 package resilience
 
 // Race coverage for the primitives the serving layers wrap in mutexes.
-// Breaker and SplitMix64 are single-threaded by contract; the gateway,
-// admission and fleet packages all drive them from concurrent requests
+// Breaker and SplitMix64 are single-threaded by contract; the gateway
+// and admission packages both drive them from concurrent requests
 // through a mutex. These tests exercise exactly that wrapping pattern
 // under `go test -race` (the race-parallel Makefile target), so a
 // regression that widens a critical section or sneaks in an unguarded
-// read fails here rather than in a production fleet.
+// read fails here rather than in production.
 
 import (
 	"math"
@@ -19,11 +19,11 @@ import (
 // TestBreakerHalfOpenProbeRace hammers a mutex-wrapped breaker with the
 // serving pattern: Allow under the lock, outcome reported under a later
 // lock acquisition — so half-open probes from different goroutines
-// genuinely interleave with other Allow calls, the way fleet replica
-// health checks interleave with live dispatches. Invariants: every call
-// is either admitted or denied (the books balance), the observed state is
-// always a legal member of the three-state machine, and the final
-// snapshot is internally consistent.
+// genuinely interleave with other Allow calls, the way concurrent
+// gateway requests interleave their upstream round trips. Invariants:
+// every call is either admitted or denied (the books balance), the
+// observed state is always a legal member of the three-state machine, and
+// the final snapshot is internally consistent.
 func TestBreakerHalfOpenProbeRace(t *testing.T) {
 	var mu sync.Mutex
 	b := NewBreaker(1, 4)
